@@ -109,10 +109,6 @@ pub fn route(err: &XtalkError) -> RecoveryRung {
 /// Knobs for the recovery ladder.
 #[derive(Debug, Clone)]
 pub struct RecoveryConfig {
-    /// Walk the ladder on failure. When `false`, a failed job becomes an
-    /// [`EngineError`](crate::EngineError) record with no verdict — the
-    /// pre-ladder fail-open behavior.
-    pub enabled: bool,
     /// Multiplier applied to `gmin` at [`RecoveryRung::GminBoost`] and up.
     pub gmin_boost: f64,
     /// Multiplier applied to the MOR `max_step_fraction` at
@@ -133,7 +129,6 @@ pub struct RecoveryConfig {
 impl Default for RecoveryConfig {
     fn default() -> Self {
         RecoveryConfig {
-            enabled: true,
             gmin_boost: 1e3,
             step_shrink: 0.25,
             newton_budget: 2_000_000,

@@ -100,8 +100,8 @@ pub struct EngineStats {
     /// tracking is not installed.
     pub allocs: u64,
     /// Lifecycle events the configured [`pcv_obs::EventSink`] shed instead
-    /// of delivering (a full [`pcv_obs::EventChannel`] ring or
-    /// [`pcv_obs::EventHub`] archive); 0 with no sink or an unbounded one.
+    /// of delivering (a full [`pcv_obs::EventHub`] archive); 0 with no
+    /// sink or an unbounded one.
     /// Observability never backpressures verification — this counter is
     /// how the loss stays visible.
     pub events_dropped: u64,
@@ -158,8 +158,8 @@ pub struct EngineReport {
     pub stats: EngineStats,
     /// Per-cluster cost breakdown, most expensive first.
     pub clusters: Vec<ClusterCost>,
-    /// Merged trace of the run when [`EngineConfig::trace`]
-    /// (`crate::EngineConfig::trace`) was set.
+    /// Merged trace of the run when
+    /// [`EngineConfig::trace`](crate::EngineConfig::trace) was set.
     pub trace: Option<Trace>,
     /// `true` when a cooperative stop interrupted the run: the report is
     /// partial ([`EngineStats::skipped`] clusters have no verdict) and the
@@ -354,8 +354,8 @@ impl EngineReport {
         self.write_profile_with(&crate::fs::Fs::real(), stem)
     }
 
-    /// [`EngineReport::write_profile`] through an explicit [`Fs`]
-    /// (`crate::fs::Fs`) handle: both artifacts are written atomically
+    /// [`EngineReport::write_profile`] through an explicit
+    /// [`Fs`](crate::fs::Fs) handle: both artifacts are written atomically
     /// (write-temp + fsync + rename), so a crash mid-export can never
     /// leave a torn JSON document behind.
     ///

@@ -1,12 +1,10 @@
 //! Multi-subscriber event fan-out: one producer (the engine), any number
 //! of late-joining consumers, bounded memory, counted overflow.
 //!
-//! [`EventChannel`](crate::EventChannel) is a point-to-point ring: one
-//! consumer, and events published before it drains are gone once the ring
-//! wraps. A verification *service* needs different semantics — several
-//! clients may subscribe to the same run's event stream, each at its own
-//! pace, possibly after the run already started. [`EventHub`] provides
-//! that: events append to one bounded archive, and every subscriber is an
+//! A verification *service* needs more than a point-to-point queue:
+//! several clients may subscribe to the same run's event stream, each at
+//! its own pace, possibly after the run already started. [`EventHub`]
+//! provides that: events append to one bounded archive, and every subscriber is an
 //! independent cursor over it, so a subscriber attached mid-run still
 //! replays the run from the first event. When the archive is full the hub
 //! sheds new events and counts them ([`EventHub::dropped`]) — fan-out, like
@@ -72,7 +70,7 @@ impl EventHub {
     }
 
     /// Mark the stream finished. Idempotent; only affects what
-    /// [`HubCursor::next`] reports for an exhausted cursor.
+    /// [`HubCursor::poll`] reports for an exhausted cursor.
     pub fn close(&self) {
         self.closed.store(true, Ordering::Release);
     }

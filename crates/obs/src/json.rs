@@ -92,14 +92,20 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The documents this
+/// workspace writes nest a handful of levels; the bound keeps the
+/// recursive descent from overflowing the stack on hostile input.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse one complete JSON document; trailing non-whitespace is an error.
 ///
 /// # Errors
 ///
-/// [`ParseError`] with the offending byte offset.
+/// [`ParseError`] with the offending byte offset, including documents
+/// nested deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Value, ParseError> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser { bytes, pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -112,6 +118,8 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -149,8 +157,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'{') { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -325,6 +340,11 @@ mod tests {
         for bad in ["", "{", "{\"a\":}", "[1,]", "tru", "\"open", "1 2", "{\"a\":1}x"] {
             assert!(parse(bad).is_err(), "accepted malformed {bad:?}");
         }
+        // Hostile nesting is a typed error, not a stack overflow.
+        let deep = "[".repeat(100_000);
+        assert_eq!(parse(&deep).unwrap_err().what, "nesting too deep");
+        let limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&limit).is_ok());
     }
 
     #[test]

@@ -12,9 +12,6 @@
 //!   started/finished/retried/degraded, cache hits, worker idle. Sinks are
 //!   pluggable; event *counts* per cluster-scoped kind are a pure function
 //!   of the input, independent of worker count and scheduling.
-//! - **Channel** ([`EventChannel`]) — a bounded, lock-free-ish ring for
-//!   shipping events off the hot path to a consumer thread; when full it
-//!   drops (and counts) rather than blocking a worker.
 //! - **Fan-out** ([`EventHub`]) — a bounded archive with any number of
 //!   replaying subscribers ([`HubCursor`]), for serving one run's event
 //!   stream to several clients that may join mid-run; overflow is shed
@@ -44,7 +41,6 @@
 #![deny(missing_docs)]
 
 pub mod alloc;
-pub mod channel;
 pub mod event;
 pub mod fanout;
 pub mod flight;
@@ -54,7 +50,6 @@ pub mod metrics;
 pub mod progress;
 
 pub use alloc::{mem, MemSnapshot, TrackingAlloc};
-pub use channel::{ChannelSink, EventChannel, EventReceiver};
 pub use event::{CountingSink, EngineEvent, EventSink, NullSink, TeeSink};
 pub use fanout::{CursorState, EventHub, HubCursor};
 pub use flight::{FlightEntry, FlightRecorder};

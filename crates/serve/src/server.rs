@@ -32,7 +32,7 @@ use pcv_engine::{
 use pcv_netlist::eco::EcoDelta;
 use pcv_obs::json::{parse, Value};
 use pcv_obs::{CursorState, EngineEvent, EventHub, EventSink, FlightRecorder, TeeSink};
-use pcv_trace::json::{f64_bits, f64_lit, str_lit};
+use pcv_trace::json::str_lit;
 use pcv_xtalk::{NetVerdict, XtalkError};
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -818,39 +818,6 @@ fn enqueue(
     Ok(run)
 }
 
-/// Render one verdict in the exact shape `ChipReport::to_json` uses
-/// (readable decimal + exact IEEE-754 bits per float), so a client can
-/// byte-compare served verdicts against sign-off documents.
-fn verdict_json(v: &NetVerdict) -> String {
-    let mut out = String::new();
-    let float = |out: &mut String, key: &str, x: f64| {
-        out.push_str(&format!("\"{key}\":{},\"{key}_bits\":{}", f64_lit(x), f64_bits(x)));
-    };
-    out.push_str(&format!("{{\"net\":{},\"name\":{},", v.net.0, str_lit(&v.name)));
-    float(&mut out, "rise_peak", v.rise_peak);
-    out.push(',');
-    float(&mut out, "fall_peak", v.fall_peak);
-    out.push(',');
-    float(&mut out, "worst_frac", v.worst_frac);
-    out.push_str(&format!(
-        ",\"severity\":{},\"cluster_size\":{},\"neighbors_before\":{}",
-        str_lit(&v.severity.to_string()),
-        v.cluster_size,
-        v.neighbors_before
-    ));
-    out.push_str(",\"receiver\":");
-    match &v.receiver {
-        Some(r) => {
-            out.push_str(&format!("{{\"cell\":{},", str_lit(&r.cell)));
-            float(&mut out, "output_peak", r.output_peak);
-            out.push_str(&format!(",\"propagates\":{}}}", r.propagates));
-        }
-        None => out.push_str("null"),
-    }
-    out.push('}');
-    out
-}
-
 fn verdicts(shared: &Shared, rid: &str, net: Option<&str>) -> Result<String, ApiError> {
     let run = lookup_run(shared, rid)?;
     let listed: Vec<NetVerdict> = match net {
@@ -878,7 +845,7 @@ fn verdicts(shared: &Shared, rid: &str, net: Option<&str>) -> Result<String, Api
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&verdict_json(v));
+        out.push_str(&v.to_json());
     }
     out.push_str("]}");
     Ok(out)

@@ -90,7 +90,12 @@ impl DesignSpec {
                     cycle: num(design, "cycle").unwrap_or(d.cycle),
                     seed: design.get("seed").and_then(Value::as_u64).unwrap_or(d.seed),
                 };
-                if config.n_buses * config.bus_bits + config.n_random_nets == 0 {
+                let nets = config
+                    .n_buses
+                    .checked_mul(config.bus_bits)
+                    .and_then(|n| n.checked_add(config.n_random_nets))
+                    .ok_or_else(|| ApiError::BadRequest("dsp design size overflows".into()))?;
+                if nets == 0 {
                     return Err(ApiError::BadRequest("dsp design generates no nets".into()));
                 }
                 Ok(DesignSpec::Dsp { config })
@@ -482,6 +487,7 @@ mod tests {
             "{\"design\":{\"kind\":\"spef\"}}",
             "{\"design\":{\"kind\":\"spef\",\"text\":\"x\",\"victims\":7}}",
             "{\"design\":{\"kind\":\"dsp\",\"buses\":0,\"bits\":0,\"random\":0}}",
+            "{\"design\":{\"kind\":\"dsp\",\"buses\":1e10,\"bits\":1e10}}",
         ] {
             match DesignSpec::from_json(body) {
                 Err(ApiError::BadRequest(_)) => {}

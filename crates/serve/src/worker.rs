@@ -17,6 +17,7 @@
 //! {"kind":"done","outcome":"complete","peak_alloc_bytes":B,"torn_journal_lines":T}
 //! ```
 //!
+//! A verdict line is [`NetVerdict::to_json`] with the `kind` tag in front.
 //! Any line is a heartbeat to the coordinator; silence past the deadline
 //! is what gets a worker killed and restarted. Exit status 0 means the
 //! `done` line is trustworthy; anything else is a crash.
@@ -41,41 +42,19 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Serialize a verdict for the worker→coordinator stream: peaks as exact
-/// `f64` bits, so the coordinator's mirrored snapshot is bit-identical
-/// to the worker's. Bit patterns travel as JSON *strings* — the daemon's
-/// minimal JSON parser stores numbers as `f64`, which would silently
-/// round any integer above 2^53.
+/// Serialize a verdict for the worker→coordinator stream: the shared
+/// [`NetVerdict::to_json`] encoding behind a `"kind":"verdict"` tag. The
+/// coordinator reads the exact `*_bits` hex strings back, so its mirrored
+/// snapshot is bit-identical to the worker's.
 pub fn verdict_line(v: &NetVerdict) -> String {
-    use pcv_trace::json::str_lit;
-    let receiver = match &v.receiver {
-        None => "null".to_owned(),
-        Some(r) => format!(
-            "{{\"cell\":{},\"output_bits\":\"{}\",\"propagates\":{}}}",
-            str_lit(&r.cell),
-            r.output_peak.to_bits(),
-            r.propagates
-        ),
-    };
-    format!(
-        "{{\"kind\":\"verdict\",\"net\":{},\"name\":{},\"rise_bits\":\"{}\",\"fall_bits\":\"{}\",\"worst_bits\":\"{}\",\"severity\":{},\"cluster_size\":{},\"neighbors_before\":{},\"receiver\":{}}}",
-        v.net.0,
-        str_lit(&v.name),
-        v.rise_peak.to_bits(),
-        v.fall_peak.to_bits(),
-        v.worst_frac.to_bits(),
-        str_lit(&v.severity.to_string()),
-        v.cluster_size,
-        v.neighbors_before,
-        receiver
-    )
+    format!("{{\"kind\":\"verdict\",{}", &v.to_json()[1..])
 }
 
 /// Parse a [`verdict_line`] back into a [`NetVerdict`] (coordinator side).
 pub fn parse_verdict(v: &Value) -> Option<NetVerdict> {
-    let bits = |key: &str| {
-        let raw = v.get(key)?.as_str()?.parse::<u64>().ok()?;
-        Some(f64::from_bits(raw))
+    let bits = |v: &Value, key: &str| {
+        let hex = v.get(key)?.as_str()?;
+        u64::from_str_radix(hex, 16).ok().map(f64::from_bits)
     };
     let severity = match v.get("severity")?.as_str()? {
         "clean" => Severity::Clean,
@@ -87,16 +66,16 @@ pub fn parse_verdict(v: &Value) -> Option<NetVerdict> {
         None | Some(Value::Null) => None,
         Some(r) => Some(ReceiverVerdict {
             cell: r.get("cell")?.as_str()?.to_owned(),
-            output_peak: f64::from_bits(r.get("output_bits")?.as_str()?.parse::<u64>().ok()?),
+            output_peak: bits(r, "output_peak_bits")?,
             propagates: matches!(r.get("propagates")?, Value::Bool(true)),
         }),
     };
     Some(NetVerdict {
         net: pcv_netlist::PNetId(v.get("net")?.as_u64()? as usize),
         name: v.get("name")?.as_str()?.to_owned(),
-        rise_peak: bits("rise_bits")?,
-        fall_peak: bits("fall_bits")?,
-        worst_frac: bits("worst_bits")?,
+        rise_peak: bits(v, "rise_peak_bits")?,
+        fall_peak: bits(v, "fall_peak_bits")?,
+        worst_frac: bits(v, "worst_frac_bits")?,
         severity,
         cluster_size: v.get("cluster_size")?.as_u64()? as usize,
         neighbors_before: v.get("neighbors_before")?.as_u64()? as usize,

@@ -65,6 +65,48 @@ pub struct NetVerdict {
     pub receiver: Option<ReceiverVerdict>,
 }
 
+impl NetVerdict {
+    /// Render the verdict as one deterministic JSON object — the element
+    /// shape of [`ChipReport::to_json`]'s `verdicts` array, also served per
+    /// net by the daemon and streamed by shard workers.
+    ///
+    /// Every float appears twice: a readable decimal (`x`) and its exact
+    /// IEEE-754 bit pattern as a hex string (`x_bits`), which is what
+    /// readers that need the exact value parse back.
+    pub fn to_json(&self) -> String {
+        use pcv_trace::json::str_lit;
+        let mut out = format!("{{\"net\":{},\"name\":{},", self.net.0, str_lit(&self.name));
+        json_float(&mut out, "rise_peak", self.rise_peak);
+        out.push(',');
+        json_float(&mut out, "fall_peak", self.fall_peak);
+        out.push(',');
+        json_float(&mut out, "worst_frac", self.worst_frac);
+        out.push_str(&format!(
+            ",\"severity\":{},\"cluster_size\":{},\"neighbors_before\":{}",
+            str_lit(&self.severity.to_string()),
+            self.cluster_size,
+            self.neighbors_before
+        ));
+        out.push_str(",\"receiver\":");
+        match &self.receiver {
+            Some(r) => {
+                out.push_str(&format!("{{\"cell\":{},", str_lit(&r.cell)));
+                json_float(&mut out, "output_peak", r.output_peak);
+                out.push_str(&format!(",\"propagates\":{}}}", r.propagates));
+            }
+            None => out.push_str("null"),
+        }
+        out.push('}');
+        out
+    }
+}
+
+/// Append `"key":<decimal>,"key_bits":"<hex bits>"`.
+fn json_float(out: &mut String, key: &str, v: f64) {
+    use pcv_trace::json::{f64_bits, f64_lit};
+    out.push_str(&format!("\"{key}\":{},\"{key}_bits\":{}", f64_lit(v), f64_bits(v)));
+}
+
 /// Chip-level audit report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChipReport {
@@ -190,20 +232,16 @@ impl ChipReport {
     /// compared byte-for-byte across runs, worker counts, and cache states
     /// — the property the golden-report regression suite locks down.
     pub fn to_json(&self) -> String {
-        use pcv_trace::json::{f64_bits, f64_lit, str_lit};
-        let float = |out: &mut String, key: &str, v: f64| {
-            out.push_str(&format!("\"{key}\":{},\"{key}_bits\":{}", f64_lit(v), f64_bits(v)));
-        };
         let mut out = String::from("{");
-        float(&mut out, "warn_frac", self.warn_frac);
+        json_float(&mut out, "warn_frac", self.warn_frac);
         out.push(',');
-        float(&mut out, "fail_frac", self.fail_frac);
+        json_float(&mut out, "fail_frac", self.fail_frac);
         out.push_str(",\"pruning\":{");
-        float(&mut out, "mean_before", self.pruning.mean_before);
+        json_float(&mut out, "mean_before", self.pruning.mean_before);
         out.push(',');
-        float(&mut out, "mean_component", self.pruning.mean_component);
+        json_float(&mut out, "mean_component", self.pruning.mean_component);
         out.push(',');
-        float(&mut out, "mean_after", self.pruning.mean_after);
+        json_float(&mut out, "mean_after", self.pruning.mean_after);
         out.push_str(&format!(
             ",\"max_after\":{},\"active_clusters\":{}}}",
             self.pruning.max_after, self.pruning.active_clusters
@@ -213,28 +251,7 @@ impl ChipReport {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("{{\"net\":{},\"name\":{},", v.net.0, str_lit(&v.name)));
-            float(&mut out, "rise_peak", v.rise_peak);
-            out.push(',');
-            float(&mut out, "fall_peak", v.fall_peak);
-            out.push(',');
-            float(&mut out, "worst_frac", v.worst_frac);
-            out.push_str(&format!(
-                ",\"severity\":{},\"cluster_size\":{},\"neighbors_before\":{}",
-                str_lit(&v.severity.to_string()),
-                v.cluster_size,
-                v.neighbors_before
-            ));
-            out.push_str(",\"receiver\":");
-            match &v.receiver {
-                Some(r) => {
-                    out.push_str(&format!("{{\"cell\":{},", str_lit(&r.cell)));
-                    float(&mut out, "output_peak", r.output_peak);
-                    out.push_str(&format!(",\"propagates\":{}}}", r.propagates));
-                }
-                None => out.push_str("null"),
-            }
-            out.push('}');
+            out.push_str(&v.to_json());
         }
         out.push_str("]}");
         out
@@ -244,8 +261,8 @@ impl ChipReport {
     /// downstream tooling.
     pub fn to_csv(&self) -> String {
         let mut out = String::from(
-            "net,rise_peak_v,fall_peak_v,worst_frac_vdd,severity,cluster_size,             neighbors_before,receiver_cell,receiver_peak_v,receiver_propagates
-",
+            "net,rise_peak_v,fall_peak_v,worst_frac_vdd,severity,cluster_size,\
+             neighbors_before,receiver_cell,receiver_peak_v,receiver_propagates\n",
         );
         for v in &self.verdicts {
             let (rc_cell, rc_peak, rc_prop) = match &v.receiver {
@@ -255,8 +272,7 @@ impl ChipReport {
                 None => ("", String::new(), String::new()),
             };
             out.push_str(&format!(
-                "{},{:.6},{:.6},{:.6},{},{},{},{},{},{}
-",
+                "{},{:.6},{:.6},{:.6},{},{},{},{},{},{}\n",
                 v.name,
                 v.rise_peak,
                 v.fall_peak,
@@ -485,7 +501,22 @@ mod tests {
         .unwrap();
         let csv = report.to_csv();
         assert_eq!(csv.lines().count(), 3);
-        assert!(csv.starts_with("net,"));
+        let header: Vec<&str> = csv.lines().next().unwrap().split(',').collect();
+        assert_eq!(
+            header,
+            [
+                "net",
+                "rise_peak_v",
+                "fall_peak_v",
+                "worst_frac_vdd",
+                "severity",
+                "cluster_size",
+                "neighbors_before",
+                "receiver_cell",
+                "receiver_peak_v",
+                "receiver_propagates",
+            ]
+        );
         assert!(csv.contains("hot,"));
         assert!(csv.contains("VIOLATION"));
     }

@@ -60,11 +60,9 @@ pub mod build;
 pub mod chip;
 pub mod dirty;
 pub mod drivers;
-pub mod em;
 pub mod error;
 pub mod prune;
 pub mod receiver;
-pub mod sta;
 
 pub use analysis::{
     analyze_delay, analyze_glitch, AnalysisContext, AnalysisOptions, DelayMode, DelayResult,
@@ -74,7 +72,6 @@ pub use build::{build_cluster, ClusterModel};
 pub use chip::{audit_receivers, verify_chip, ChipReport, NetVerdict, ReceiverVerdict, Severity};
 pub use dirty::blast_radius;
 pub use drivers::DriverModelKind;
-pub use em::{screen_cluster, EmScreenResult, SegmentCurrent};
 pub use error::XtalkError;
 pub use prune::{
     prune_all, prune_victim, prune_victim_weighted, Cluster, PruneConfig, PruningStats,
@@ -82,4 +79,3 @@ pub use prune::{
 pub use receiver::{
     check_receiver_propagation, noise_immunity_curve, ImmunityPoint, ReceiverCheck,
 };
-pub use sta::{apply_windows, compute_windows, StaOptions};

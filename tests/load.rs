@@ -298,9 +298,17 @@ fn routing_and_error_mapping_cover_the_wire_surface() {
         assert!(resp.body.contains("\"error\":\"not_found\""), "{path}: {}", resp.body);
     }
 
-    // Malformed design and overlay documents are 400s.
-    let resp = client.request("POST", "/sessions", "{not json").unwrap();
-    assert_eq!(resp.status, 400, "{}", resp.body);
+    // Malformed design and overlay documents are 400s — including a
+    // hostile nesting depth and a DSP size that overflows — and the
+    // daemon keeps serving after them.
+    let deep = "[".repeat(100_000);
+    let huge = "{\"design\":{\"kind\":\"dsp\",\"buses\":1e10,\"bits\":1e10}}";
+    for body in ["{not json", deep.as_str(), huge] {
+        let resp = client.request("POST", "/sessions", body).unwrap();
+        assert_eq!(resp.status, 400, "{}", resp.body);
+    }
+    let resp = client.request("GET", "/healthz", "").unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
     let session = load_session(&client);
     let resp =
         client.request("POST", &format!("/sessions/{session}/runs"), "{\"bogus_knob\":1}").unwrap();
